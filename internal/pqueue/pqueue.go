@@ -5,17 +5,21 @@
 // peaks and ridges... it uses time-forward processing and relies on
 // ordering for correctness."
 //
-// The structure keeps an insertion buffer of bounded size in memory; when
-// the buffer fills, it is sorted and spilled to external storage as a
-// sorted run. PopMin merges the buffer minimum with the heads of all
-// spilled runs. Each item is written and read at most once externally, and
-// in-memory work is O(log) comparisons per operation.
+// The structure keeps an insertion buffer of bounded size in memory as a
+// binary heap; when the buffer fills, it is sorted and spilled to external
+// storage as a sorted run. PopMin takes the smaller of the buffer's root
+// and the least head among the spilled runs, which a second heap keeps.
+// Each item is written and read at most once externally. In-memory work
+// is O(log memItems + log runs) comparisons per operation, plus, amortized
+// per item, the spill's O(log memItems) sort and the O(1) decode of a read
+// run. Virtual time charges the logarithmic comparison counts.
 package pqueue
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lmas/internal/bte"
 	"lmas/internal/cluster"
@@ -49,13 +53,16 @@ type PQ struct {
 	eng  bte.Engine
 
 	memCap int
-	buf    []Item // insertion buffer, unsorted
+	buf    []Item // insertion buffer, a binary min-heap under less
+	// runs holds the read runs that still have items, as a binary
+	// min-heap under runBefore. unread holds the runs spilled since the
+	// last Peek or PopMin, in spill order; the next Peek or PopMin reads
+	// them all, in that order, before it compares anything.
 	runs   []*run
+	unread []*run
 
 	len      int
 	spills   int
-	maxRuns  int
-	popped   uint64
 	lastKey  uint64
 	havePrev bool
 }
@@ -64,13 +71,25 @@ type PQ struct {
 // runPool so the decoded-items slice capacity is reused across spills
 // instead of reallocated per run.
 type run struct {
-	id     bte.BlockID
-	items  []Item // decoded lazily on first read; capacity reused via runPool
-	loaded bool
-	pos    int
+	id    bte.BlockID
+	seq   int    // spill number
+	items []Item // decoded when read; capacity reused via runPool
+	pos   int
 }
 
 var runPool scratch.Pool[run]
+
+func (r *run) head() Item { return r.items[r.pos] }
+
+// runBefore orders the run heap by head item. Equal heads go to the older
+// run: which run drains first sets the run count PopMin charges for.
+func runBefore(a, b *run) bool {
+	ha, hb := a.head(), b.head()
+	if ha != hb {
+		return less(ha, hb)
+	}
+	return a.seq < b.seq
+}
 
 // New creates a priority queue whose insertion buffer holds memItems items.
 // Spilled runs are stored on eng (typically a disk engine of the node that
@@ -94,13 +113,15 @@ func (q *PQ) Push(p *sim.Proc, it Item) {
 		q.spill(p)
 	}
 	q.buf = append(q.buf, it)
+	siftUp(q.buf, len(q.buf)-1, less)
 	q.len++
 	// One heap-insert's worth of comparisons.
 	q.charge(p, log2f(q.memCap))
 }
 
 func (q *PQ) spill(p *sim.Proc) {
-	sort.Slice(q.buf, func(i, j int) bool { return less(q.buf[i], q.buf[j]) })
+	slices.SortFunc(q.buf, compareItems)
+	// A fresh slice every spill: Append hands its storage to the engine.
 	data := make([]byte, len(q.buf)*itemBytes)
 	for i, it := range q.buf {
 		binary.LittleEndian.PutUint64(data[i*itemBytes:], it.Key)
@@ -110,26 +131,33 @@ func (q *PQ) spill(p *sim.Proc) {
 	q.charge(p, float64(len(q.buf))*log2f(len(q.buf)))
 	id := q.eng.Append(p, data)
 	r := runPool.Get()
-	*r = run{id: id, items: r.items[:0]}
-	q.runs = append(q.runs, r)
+	*r = run{id: id, seq: q.spills, items: r.items[:0]}
+	q.unread = append(q.unread, r)
 	q.spills++
-	if len(q.runs) > q.maxRuns {
-		q.maxRuns = len(q.runs)
-	}
 	q.buf = q.buf[:0]
 }
 
-func (r *run) load(p *sim.Proc, eng bte.Engine) {
-	if r.loaded {
-		return
+// readSpilled reads the unread runs in spill order and adds them to the
+// run heap.
+func (q *PQ) readSpilled(p *sim.Proc) {
+	for _, r := range q.unread {
+		data := q.eng.Read(p, r.id)
+		r.items = scratch.Grow(r.items, len(data)/itemBytes)
+		for i := range r.items {
+			r.items[i].Key = binary.LittleEndian.Uint64(data[i*itemBytes:])
+			r.items[i].Payload = binary.LittleEndian.Uint64(data[i*itemBytes+8:])
+		}
+		q.runs = append(q.runs, r)
+		siftUp(q.runs, len(q.runs)-1, runBefore)
 	}
-	data := eng.Read(p, r.id)
-	r.items = scratch.Grow(r.items, len(data)/itemBytes)
-	r.loaded = true
-	for i := range r.items {
-		r.items[i].Key = binary.LittleEndian.Uint64(data[i*itemBytes:])
-		r.items[i].Payload = binary.LittleEndian.Uint64(data[i*itemBytes+8:])
-	}
+	clear(q.unread)
+	q.unread = q.unread[:0]
+}
+
+// fromBuffer reports whether the minimum is the buffer's root rather than
+// the least run head. The buffer wins a tie.
+func (q *PQ) fromBuffer() bool {
+	return len(q.runs) == 0 || (len(q.buf) > 0 && !less(q.runs[0].head(), q.buf[0]))
 }
 
 // Peek reports the smallest item without removing it. ok is false when
@@ -138,23 +166,15 @@ func (q *PQ) Peek(p *sim.Proc) (Item, bool) {
 	if q.len == 0 {
 		return Item{}, false
 	}
+	q.readSpilled(p)
 	var best Item
-	found := false
-	for _, it := range q.buf {
-		if !found || less(it, best) {
-			best, found = it, true
-		}
-	}
-	for _, r := range q.runs {
-		r.load(p, q.eng)
-		if r.pos < len(r.items) {
-			if it := r.items[r.pos]; !found || less(it, best) {
-				best, found = it, true
-			}
-		}
+	if q.fromBuffer() {
+		best = q.buf[0]
+	} else {
+		best = q.runs[0].head()
 	}
 	q.charge(p, log2f(len(q.runs)+1))
-	return best, found
+	return best, true
 }
 
 // PopMin removes and returns the smallest item. ok is false when empty.
@@ -163,48 +183,29 @@ func (q *PQ) PopMin(p *sim.Proc) (Item, bool) {
 	if q.len == 0 {
 		return Item{}, false
 	}
-	// Candidate from the buffer: linear scan is O(memCap), but we charge
-	// only the heap-equivalent log cost since a production structure
-	// would keep the buffer heapified; the scan here is emulation-host
-	// work, not emulated work.
-	bi := -1
-	for i := range q.buf {
-		if bi < 0 || less(q.buf[i], q.buf[bi]) {
-			bi = i
-		}
-	}
-	// Candidate among run heads.
-	ri := -1
-	for i, r := range q.runs {
-		r.load(p, q.eng)
-		if r.pos >= len(r.items) {
-			continue
-		}
-		if ri < 0 || less(r.items[r.pos], q.runs[ri].items[q.runs[ri].pos]) {
-			ri = i
-		}
-	}
+	q.readSpilled(p)
 	var out Item
-	switch {
-	case bi < 0 && ri < 0:
-		return Item{}, false
-	case ri < 0 || (bi >= 0 && !less(q.runs[ri].items[q.runs[ri].pos], q.buf[bi])):
-		out = q.buf[bi]
-		q.buf[bi] = q.buf[len(q.buf)-1]
-		q.buf = q.buf[:len(q.buf)-1]
-	default:
-		r := q.runs[ri]
-		out = r.items[r.pos]
+	if q.fromBuffer() {
+		out = q.buf[0]
+		last := len(q.buf) - 1
+		q.buf[0] = q.buf[last]
+		q.buf = q.buf[:last]
+		siftDown(q.buf, 0, less)
+	} else {
+		r := q.runs[0]
+		out = r.head()
 		r.pos++
 		if r.pos == len(r.items) {
 			q.eng.Free(r.id)
-			copy(q.runs[ri:], q.runs[ri+1:])
+			last := len(q.runs) - 1
+			q.runs[0] = q.runs[last]
 			// Clear the tail so the backing array doesn't pin the run,
 			// then recycle it: nothing else references a drained run.
-			q.runs[len(q.runs)-1] = nil
-			q.runs = q.runs[:len(q.runs)-1]
+			q.runs[last] = nil
+			q.runs = q.runs[:last]
 			runPool.Put(r)
 		}
+		siftDown(q.runs, 0, runBefore)
 	}
 	q.len--
 	q.charge(p, log2f(q.memCap)+log2f(len(q.runs)+1))
@@ -212,7 +213,6 @@ func (q *PQ) PopMin(p *sim.Proc) (Item, bool) {
 		panic(fmt.Sprintf("pqueue: keys regressed: %d after %d", out.Key, q.lastKey))
 	}
 	q.lastKey, q.havePrev = out.Key, true
-	q.popped++
 	return out, true
 }
 
@@ -228,6 +228,43 @@ func less(a, b Item) bool {
 		return a.Key < b.Key
 	}
 	return a.Payload < b.Payload
+}
+
+func compareItems(a, b Item) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Payload, b.Payload)
+}
+
+// siftUp restores a binary min-heap under before once h[i] is appended or
+// made smaller; siftDown, once h[i] is made larger.
+func siftUp[T any](h []T, i int, before func(a, b T) bool) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func siftDown[T any](h []T, i int, before func(a, b T) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func log2f(n int) float64 {
