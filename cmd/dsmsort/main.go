@@ -64,10 +64,43 @@ func main() {
 	params := cluster.DefaultParams()
 	params.Hosts, params.ASUs, params.C = *hosts, *asus, *c
 	params.Engine, params.EngineWorkers, params.EngineGroups = *engine, *workers, *groups
+	if *n < 0 {
+		fail(fmt.Errorf("-n must be >= 0 records, have %d", *n))
+	}
+	if *netMBps < 0 {
+		fail(fmt.Errorf("-net must be >= 0 MB/s (0 = default), have %g", *netMBps))
+	}
 	if *netMBps > 0 {
 		params.NetBandwidth = *netMBps * 1e6
 	}
 	if err := params.Validate(); err != nil {
+		fail(err)
+	}
+	// Reject a bad sort configuration before any input is generated.
+	pol, err := route.ByName(*policy, *alpha, *seed)
+	if err != nil {
+		fail(err)
+	}
+	cfg := dsmsort.Config{
+		Alpha:         *alpha,
+		Beta:          *beta,
+		Gamma2:        *gamma2,
+		PacketRecords: *packet,
+		SortPolicy:    pol,
+		Seed:          *seed,
+	}
+	switch *placement {
+	case "active":
+		cfg.Placement = dsmsort.Active
+	case "conventional":
+		cfg.Placement = dsmsort.Conventional
+	default:
+		fail(fmt.Errorf("unknown placement %q", *placement))
+	}
+	if *progress > 0 {
+		cfg.ProgressInterval = sim.Duration(*progress) * sim.Millisecond
+	}
+	if err := cfg.Validate(params); err != nil {
 		fail(err)
 	}
 	cl := cluster.New(params)
@@ -122,31 +155,6 @@ func main() {
 	in, err := dsmsort.MakeInputNamed(cl, *n, *dist, *seed, *packet)
 	if err != nil {
 		fail(err)
-	}
-
-	pol, err := route.ByName(*policy, *alpha, *seed)
-	if err != nil {
-		fail(err)
-	}
-	cfg := dsmsort.Config{
-		Alpha:         *alpha,
-		Beta:          *beta,
-		Gamma2:        *gamma2,
-		PacketRecords: *packet,
-		SortPolicy:    pol,
-		Seed:          *seed,
-	}
-	switch *placement {
-	case "active":
-		cfg.Placement = dsmsort.Active
-	case "conventional":
-		cfg.Placement = dsmsort.Conventional
-	default:
-		fail(fmt.Errorf("unknown placement %q", *placement))
-	}
-
-	if *progress > 0 {
-		cfg.ProgressInterval = sim.Duration(*progress) * sim.Millisecond
 	}
 	res, err := dsmsort.Sort(cl, cfg, in)
 	if err != nil {
@@ -253,6 +261,10 @@ func writeTrace(sink *trace.Sink, path string) error {
 }
 
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dsmsort:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "dsmsort:") {
+		msg = "dsmsort: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -28,6 +28,21 @@ func BenchmarkSortActive(b *testing.B)       { benchSort(b, Active, 8) }
 func BenchmarkSortConventional(b *testing.B) { benchSort(b, Conventional, 8) }
 func BenchmarkSortHybrid(b *testing.B)       { benchSort(b, Hybrid, 8) }
 
+// BenchmarkMakeInput measures input generation and loading alone: 2^16
+// records in 64-record packets, striped over 8 ASUs. Bytes are the records
+// generated.
+func BenchmarkMakeInput(b *testing.B) {
+	const n = 1 << 16
+	b.SetBytes(n * int64(testParams(1, 8).RecordSize))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cl := cluster.New(testParams(1, 8))
+		b.StartTimer()
+		MakeInput(cl, n, records.Uniform{}, 42, 64).Free()
+	}
+}
+
 func BenchmarkRunFormationOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cl := cluster.New(testParams(1, 8))

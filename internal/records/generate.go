@@ -1,6 +1,7 @@
 package records
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 )
@@ -100,21 +101,40 @@ func GenerateHalves(n, size int, seed int64, first, second KeyDist) Buffer {
 	return b
 }
 
+// fill writes records [lo, hi) of b, drawing one payload seed and then one
+// key from rng per record, in record order.
 func fill(b Buffer, lo, hi int, rng *rand.Rand, dist KeyDist) {
 	for i := lo; i < hi; i++ {
-		rec := b.Record(i)
-		// Pseudorandom payload; cheaper than rng.Read and just as good
-		// for checksum purposes.
-		x := rng.Uint64()
-		for j := KeyBytes; j < len(rec); j++ {
-			rec[j] = byte(x >> (uint(j%8) * 8))
-			if j%8 == 7 {
-				x = x*6364136223846793005 + 1442695040888963407
-			}
-		}
+		expandPayload(b.Record(i), rng.Uint64())
 		b.SetKey(i, dist.Draw(rng))
 	}
 }
+
+// expandPayload writes rec's payload (every byte after the key) from the
+// seed x: byte j is byte j%8 of the current x in little-endian order, and x
+// takes one LCG step after each byte with j%8 == 7. That is cheaper than
+// rng.Read and just as good for checksum purposes. The bytes up to the first
+// 8-byte boundary and the tail go one at a time; every whole word between
+// them is one PutUint64.
+func expandPayload(rec []byte, x uint64) {
+	j := KeyBytes
+	for ; j < len(rec) && j%8 != 0; j++ {
+		rec[j] = byte(x >> (uint(j%8) * 8))
+		if j%8 == 7 {
+			x = lcgStep(x)
+		}
+	}
+	for ; j+8 <= len(rec); j += 8 {
+		binary.LittleEndian.PutUint64(rec[j:], x)
+		x = lcgStep(x)
+	}
+	for ; j < len(rec); j++ {
+		rec[j] = byte(x >> (uint(j%8) * 8))
+	}
+}
+
+// lcgStep advances the payload generator (Knuth's MMIX constants).
+func lcgStep(x uint64) uint64 { return x*6364136223846793005 + 1442695040888963407 }
 
 // Splitters returns α-1 key boundaries that partition the key space into α
 // equal-width ranges: bucket(k) = number of splitters < ... <= k. With

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lmas/internal/bufpool"
 )
@@ -197,10 +198,13 @@ func (b Buffer) MaxKeyIn() (k Key, ok bool) {
 // Checksum is an order-independent digest of a multiset of records: equal
 // multisets have equal checksums regardless of record order, so comparing
 // input and output checksums verifies that a sort or shuffle moved every
-// record exactly once and corrupted none.
+// record exactly once and corrupted none. Each record is hashed on its own
+// (recordHash), and the per-record hashes are folded with a wrapping sum and
+// an xor, both commutative, so any record order and any split of the
+// multiset (see Combine) gives the same digest.
 type Checksum struct {
 	Count int
-	Sum   uint64 // sum of per-record FNV-1a hashes, wrapping
+	Sum   uint64 // sum of per-record hashes, wrapping
 	Xor   uint64 // xor of per-record hashes
 }
 
@@ -208,7 +212,7 @@ type Checksum struct {
 func (c *Checksum) Add(b Buffer) {
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		h := fnv1a(b.Record(i))
+		h := recordHash(b.Record(i))
 		c.Count++
 		c.Sum += h
 		c.Xor ^= h
@@ -225,12 +229,29 @@ func (c Checksum) String() string {
 	return fmt.Sprintf("{n=%d sum=%016x xor=%016x}", c.Count, c.Sum, c.Xor)
 }
 
-func fnv1a(b []byte) uint64 {
+// recordHash digests one record a little-endian 8-byte word at a time:
+// each word is xored into the state, multiplied by the FNV prime and
+// rotated, then the tail bytes (record sizes need not be multiples of 8)
+// fold in one at a time the same way, and murmur3's fmix64 finishes. Every
+// step is a bijection of the state, so two records that differ in a single
+// word or byte always hash differently. The rotate carries high bits back
+// down; without it a multiply only spreads differences upward, and flips of
+// bit 63 in two different words would cancel. fmix64 spreads every input bit
+// over the whole hash, so the Sum/Xor fold above stays a strong multiset
+// digest.
+func recordHash(b []byte) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= prime
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64((h^binary.LittleEndian.Uint64(b))*prime, 31)
 	}
+	for _, x := range b {
+		h = bits.RotateLeft64((h^uint64(x))*prime, 31)
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
