@@ -25,10 +25,20 @@ func main() {
 	)
 	flag.Parse()
 
+	params := cluster.DefaultParams()
+	params.Hosts, params.ASUs = 1, *asus
+	switch {
+	case *entries < 1:
+		check(fmt.Errorf("-entries %d: need at least one entry", *entries))
+	case *fanout < 2:
+		check(fmt.Errorf("-fanout %d: must be at least 2", *fanout))
+	case *clients < 1:
+		check(fmt.Errorf("-clients %d: need at least one client", *clients))
+	}
+	check(params.Validate())
+
 	es := rtree.GenerateEntries(*entries, 0.005, *seed)
 	mk := func(mode rtree.Mode) *rtree.Distributed {
-		params := cluster.DefaultParams()
-		params.Hosts, params.ASUs = 1, *asus
 		return rtree.NewDistributed(cluster.New(params), es, *fanout, mode)
 	}
 
@@ -46,8 +56,6 @@ func main() {
 	fmt.Println(lat)
 
 	mkRep := func() *rtree.Distributed {
-		params := cluster.DefaultParams()
-		params.Hosts, params.ASUs = 1, *asus
 		return rtree.NewReplicated(cluster.New(params), es, *fanout, 2)
 	}
 

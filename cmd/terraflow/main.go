@@ -31,19 +31,32 @@ func main() {
 	params := cluster.DefaultParams()
 	params.Hosts, params.ASUs = 1, *asus
 	params.RecordSize = terraflow.CellRecordSize
+	opt := terraflow.DefaultOptions()
+	opt.Flow = *flow
+	switch *placement {
+	case "active":
+		opt.Placement = dsmsort.Active
+	case "conventional":
+		opt.Placement = dsmsort.Conventional
+	default:
+		fail(fmt.Errorf("unknown placement %q", *placement))
+	}
+	if *w < 1 || *h < 1 {
+		fail(fmt.Errorf("grid %dx%d: width and height must be at least 1", *w, *h))
+	}
+	if *basins < 1 {
+		fail(fmt.Errorf("-basins %d: need at least one basin", *basins))
+	}
+	if err := params.Validate(); err != nil {
+		fail(err)
+	}
 	cl := cluster.New(params)
 
 	g, centers := terraflow.SyntheticBasins(*w, *h, *basins, 10, *seed)
-	opt := terraflow.DefaultOptions()
-	opt.Flow = *flow
-	if *placement == "conventional" {
-		opt.Placement = dsmsort.Conventional
-	}
 
 	res, err := terraflow.Run(cl, g, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "terraflow:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("terrain %dx%d with %d basins -> %d watersheds (%s, %d ASUs)\n",
 		*w, *h, len(centers), res.Watersheds, *placement, *asus)
@@ -70,6 +83,13 @@ func main() {
 	if *render {
 		renderMap(g, res.Colors)
 	}
+}
+
+// fail reports a rejected configuration or a failed run on one line and
+// exits non-zero.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "terraflow:", err)
+	os.Exit(1)
 }
 
 // renderMap prints the watershed labeling, one glyph per cell block.

@@ -98,9 +98,8 @@ type Event struct {
 	Fields map[string]float64 `json:"fields,omitempty"`
 }
 
-// SpanArg is one ordered key/value annotation on a stored span, mirroring
-// trace.Arg without importing it (this package must stay importable from the
-// trace-consuming layers without a cycle).
+// SpanArg is one ordered key/value annotation on a stored span: trace.Arg
+// with the store's short JSON field names.
 type SpanArg struct {
 	Key string `json:"k"`
 	Val any    `json:"v"`

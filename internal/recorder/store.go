@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"lmas/internal/telemetry"
+	"lmas/internal/trace"
 )
 
 // Store is the append-only run-record store: one JSONL segment per run under
@@ -63,8 +65,14 @@ type storeRun struct {
 	st   *Store
 	f    *os.File
 	w    *bufio.Writer
+	line []byte // reused span-line buffer
 	dead bool
 }
+
+// segmentBuffer is the write buffer of a segment file. Traced runs stream
+// hundreds of thousands of span lines, so a segment is written in large
+// pieces.
+const segmentBuffer = 64 << 10
 
 // sanitizeID maps an experiment or cell name onto the segment-filename
 // alphabet: lowercase letters, digits, and dashes.
@@ -118,7 +126,7 @@ func (r *storeRun) Begin(h *Header) {
 		}
 	}
 	r.st.mu.Unlock()
-	r.w = bufio.NewWriter(r.f)
+	r.w = bufio.NewWriterSize(r.f, segmentBuffer)
 	r.writeLine(h)
 }
 
@@ -130,6 +138,10 @@ func (r *storeRun) writeLine(v any) {
 	if err == nil {
 		_, err = r.w.Write(append(b, '\n'))
 	}
+	r.fail(err)
+}
+
+func (r *storeRun) fail(err error) {
 	if err != nil {
 		r.st.setErr(err)
 		r.dead = true
@@ -138,16 +150,75 @@ func (r *storeRun) writeLine(v any) {
 
 func (r *storeRun) Sample(s Sample) { r.writeLine(Record{Sample: &s}) }
 func (r *storeRun) Event(e Event)   { r.writeLine(Record{Event: &e}) }
-func (r *storeRun) Span(sp Span)    { r.writeLine(Record{Span: &sp}) }
+
+// Span writes the span's line with appendSpanLine rather than
+// encoding/json: a traced run streams one line per trace event.
+func (r *storeRun) Span(sp Span) {
+	if r.dead {
+		return
+	}
+	var err error
+	if r.line, err = appendSpanLine(r.line[:0], &sp); err == nil {
+		_, err = r.w.Write(r.line)
+	}
+	r.fail(err)
+}
+
+// appendSpanLine appends the store line of one span: the bytes of
+// json.Marshal(Record{Span: sp}) and a newline, in Span's field order with
+// its omitempty rules.
+func appendSpanLine(b []byte, sp *Span) ([]byte, error) {
+	b = append(b, `{"span":{"t_ns":`...)
+	b = strconv.AppendInt(b, sp.T, 10)
+	if sp.DurNs != 0 {
+		b = append(b, `,"dur_ns":`...)
+		b = strconv.AppendInt(b, sp.DurNs, 10)
+	}
+	b = append(b, `,"ph":`...)
+	b = trace.AppendString(b, sp.Ph)
+	b = append(b, `,"group":`...)
+	b = trace.AppendString(b, sp.Group)
+	b = append(b, `,"track":`...)
+	b = trace.AppendString(b, sp.Track)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(sp.TID), 10)
+	if sp.Name != "" {
+		b = append(b, `,"name":`...)
+		b = trace.AppendString(b, sp.Name)
+	}
+	if sp.Cat != "" {
+		b = append(b, `,"cat":`...)
+		b = trace.AppendString(b, sp.Cat)
+	}
+	if len(sp.Args) > 0 {
+		b = append(b, `,"args":[`...)
+		for i, a := range sp.Args {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"k":`...)
+			b = trace.AppendString(b, a.Key)
+			b = append(b, `,"v":`...)
+			var err error
+			if b, err = trace.AppendValue(b, a.Val); err != nil {
+				return b, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}}\n"...), nil
+}
 
 func (r *storeRun) Finish(rep *telemetry.RunReport) {
 	r.writeLine(Record{Finish: &Finish{Report: rep}})
 	if r.f == nil {
 		return
 	}
-	if !r.dead {
-		r.st.setErr(r.w.Flush())
-	}
+	// Flush even a run that died: after an unencodable record the lines
+	// before it are intact and load as an unfinished run, and after a
+	// failed write the writer just reports that error again.
+	r.st.setErr(r.w.Flush())
 	r.st.setErr(r.f.Close())
 	r.f, r.w, r.dead = nil, nil, true
 }

@@ -19,10 +19,8 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -65,6 +63,11 @@ type event struct {
 	args  []Arg
 }
 
+// chunkEvents is the number of events per storage chunk. Events are kept in
+// fixed-size chunks rather than one growing slice, so a long trace never
+// copies its event array to grow it or holds two copies while it does.
+const chunkEvents = 4096
+
 // Sink accumulates events for one simulation. Create one with New; the zero
 // value is not usable (but a nil *Sink is, as "tracing disabled").
 type Sink struct {
@@ -72,7 +75,7 @@ type Sink struct {
 	groupIdx map[string]int
 	tracks   []trackInfo // tracks[i] describes Track(i+1)
 	shared   map[string]Track
-	events   []event
+	chunks   [][]event // events in record order, chunkEvents per full chunk
 	streamer func(StreamEvent)
 }
 
@@ -91,7 +94,7 @@ type StreamEvent struct {
 	Args  []Arg
 }
 
-func (s *Sink) streamEvent(e event) StreamEvent {
+func (s *Sink) streamEvent(e *event) StreamEvent {
 	ti := s.tracks[e.track-1]
 	return StreamEvent{
 		TS:    e.ts,
@@ -123,8 +126,10 @@ func (s *Sink) SetStreamer(fn func(StreamEvent)) {
 	if fn == nil {
 		return
 	}
-	for _, e := range s.events {
-		fn(s.streamEvent(e))
+	for _, c := range s.chunks {
+		for i := range c {
+			fn(s.streamEvent(&c[i]))
+		}
 	}
 }
 
@@ -199,16 +204,24 @@ func (s *Sink) Events() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.events)
+	if len(s.chunks) == 0 {
+		return 0
+	}
+	return (len(s.chunks)-1)*chunkEvents + len(s.chunks[len(s.chunks)-1])
 }
 
 func (s *Sink) add(e event) {
 	if s == nil || e.track == 0 {
 		return
 	}
-	s.events = append(s.events, e)
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == chunkEvents {
+		s.chunks = append(s.chunks, make([]event, 0, chunkEvents))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], e)
 	if s.streamer != nil {
-		s.streamer(s.streamEvent(e))
+		s.streamer(s.streamEvent(&e))
 	}
 }
 
@@ -245,95 +258,34 @@ func (s *Sink) Counter(tr Track, ts Time, name string, value int64) {
 	s.add(event{track: tr, ph: phaseCounter, ts: ts, name: name, args: []Arg{{Key: "value", Val: value}}})
 }
 
-// usec renders a virtual-time nanosecond stamp as the microseconds the
-// Chrome trace-event format expects, with fixed sub-microsecond precision so
-// output is byte-stable.
-func usec(t Time) string {
-	return strconv.FormatFloat(float64(t)/1e3, 'f', 3, 64)
-}
-
-func writeJSONString(w *strings.Builder, v string) {
-	b, _ := json.Marshal(v)
-	w.Write(b)
-}
-
-func writeArgs(w *strings.Builder, args []Arg) error {
-	w.WriteByte('{')
-	for i, a := range args {
-		if i > 0 {
-			w.WriteByte(',')
-		}
-		writeJSONString(w, a.Key)
-		w.WriteByte(':')
-		b, err := json.Marshal(a.Val)
-		if err != nil {
-			return fmt.Errorf("trace: arg %q: %w", a.Key, err)
-		}
-		w.Write(b)
-	}
-	w.WriteByte('}')
-	return nil
-}
-
 // WriteJSON exports the trace in Chrome trace-event JSON ("JSON object
 // format"): open the file in Perfetto (ui.perfetto.dev) or chrome://tracing.
 // Each track group becomes a process and each track a thread, named via
-// metadata events. Timestamps are virtual-time microseconds.
+// metadata events. Timestamps are virtual-time microseconds. The document
+// is streamed to w in pieces, so when an event arg does not encode (a NaN,
+// a channel) the error names its key and w holds an incomplete document.
 func (s *Sink) WriteJSON(w io.Writer) error {
 	if s == nil {
 		_, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[]}`+"\n")
 		return err
 	}
-	var sb strings.Builder
-	sb.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	first := true
-	sep := func() {
-		if !first {
-			sb.WriteByte(',')
-		}
-		first = false
-		sb.WriteString("\n")
-	}
+	cw := NewChromeWriter(w)
 	for g, name := range s.groups {
-		sep()
-		fmt.Fprintf(&sb, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":`, g)
-		writeJSONString(&sb, name)
-		sb.WriteString(`}}`)
+		cw.ProcessName(g, name)
 	}
 	for i, ti := range s.tracks {
-		sep()
-		fmt.Fprintf(&sb, `{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":`, ti.group, i+1)
-		writeJSONString(&sb, ti.name)
-		sb.WriteString(`}}`)
+		cw.ThreadName(ti.group, i+1, ti.name)
 	}
-	for _, e := range s.events {
-		ti := s.tracks[e.track-1]
-		sep()
-		sb.WriteString(`{"name":`)
-		writeJSONString(&sb, e.name)
-		if e.cat != "" {
-			sb.WriteString(`,"cat":`)
-			writeJSONString(&sb, e.cat)
-		}
-		fmt.Fprintf(&sb, `,"ph":"%c","ts":%s`, e.ph, usec(e.ts))
-		if e.ph == phaseSpan {
-			fmt.Fprintf(&sb, `,"dur":%s`, usec(e.dur))
-		}
-		if e.ph == phaseInstant {
-			sb.WriteString(`,"s":"t"`) // thread-scoped instant
-		}
-		fmt.Fprintf(&sb, `,"pid":%d,"tid":%d`, ti.group, e.track)
-		if len(e.args) > 0 {
-			sb.WriteString(`,"args":`)
-			if err := writeArgs(&sb, e.args); err != nil {
-				return err
+	for _, c := range s.chunks {
+		for i := range c {
+			e := &c[i]
+			ti := s.tracks[e.track-1]
+			if err := cw.Event(e.name, e.cat, string(e.ph), e.ts, e.dur, ti.group, int(e.track), e.args); err != nil {
+				return fmt.Errorf("trace: %w", err)
 			}
 		}
-		sb.WriteString(`}`)
 	}
-	sb.WriteString("\n]}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	return cw.Finish()
 }
 
 // WriteCSV exports the trace as a flat time series, one event per row:
@@ -346,19 +298,21 @@ func (s *Sink) WriteCSV(w io.Writer) error {
 	var sb strings.Builder
 	sb.WriteString("ts_ns,dur_ns,phase,group,track,name,cat,args\n")
 	if s != nil {
-		for _, e := range s.events {
-			ti := s.tracks[e.track-1]
-			var args strings.Builder
-			for i, a := range e.args {
-				if i > 0 {
-					args.WriteByte(';')
+		for _, c := range s.chunks {
+			for _, e := range c {
+				ti := s.tracks[e.track-1]
+				var args strings.Builder
+				for i, a := range e.args {
+					if i > 0 {
+						args.WriteByte(';')
+					}
+					fmt.Fprintf(&args, "%s=%v", a.Key, a.Val)
 				}
-				fmt.Fprintf(&args, "%s=%v", a.Key, a.Val)
+				fmt.Fprintf(&sb, "%d,%d,%c,%s,%s,%s,%s,%s\n",
+					e.ts, e.dur, e.ph,
+					csvField(s.groups[ti.group]), csvField(ti.name),
+					csvField(e.name), csvField(e.cat), csvField(args.String()))
 			}
-			fmt.Fprintf(&sb, "%d,%d,%c,%s,%s,%s,%s,%s\n",
-				e.ts, e.dur, e.ph,
-				csvField(s.groups[ti.group]), csvField(ti.name),
-				csvField(e.name), csvField(e.cat), csvField(args.String()))
 		}
 	}
 	_, err := io.WriteString(w, sb.String())
